@@ -29,29 +29,15 @@ enum class TablePlacement {
   kHost,         // parameter-server resident, pipelined
 };
 
-struct ElRecTrainerConfig {
+/// The pipeline knobs (queue depth, cache, retry, deadlines, checkpoint
+/// cadence, codec) come from PipelineConfig: queue_capacity 1 is EL-Rec
+/// (Sequential) of Fig. 16, and a checkpoint holds the model parameters plus
+/// every host store.
+struct ElRecTrainerConfig : PipelineConfig {
   DlrmConfig model;
   std::vector<TablePlacement> placement;  // one per table
   index_t tt_rank = 16;
-  index_t queue_capacity = 4;   // 1 == EL-Rec (Sequential) of Fig. 16
-  bool use_embedding_cache = true;
-  float lr = 0.05f;
   std::uint64_t seed = 1;
-
-  // Bounded retry + backoff for transient host-store pull/push faults.
-  RetryPolicy host_retry;
-  // Deadline for each queue wait; 0 = wait forever.
-  std::chrono::milliseconds queue_timeout{0};
-  // Every n batches the worker writes a crash-safe checkpoint of the model
-  // plus every host store to checkpoint_path (0 = off).
-  index_t checkpoint_every_n = 0;
-  std::string checkpoint_path;
-
-  // Codec for the host-table queue streams (prefetched rows + pushed
-  // gradients). Null (default) keeps the run bitwise-identical to the
-  // uncompressed trainer; checkpoints record the codec id and resume()
-  // refuses a checkpoint written under a different codec.
-  CodecConfig codec;
 };
 
 /// Chooses placements the way the paper does: tables above `tt_threshold`
@@ -89,37 +75,27 @@ class HostTableClient final : public IEmbeddingTable {
 
   const std::vector<index_t>& captured_indices() const { return unique_; }
   const Matrix& captured_grads() const { return grads_; }
-  /// Post-update row values (rows - lr * grads) for the embedding cache.
-  const Matrix& updated_rows() const { return updated_; }
+  /// Post-update row values (rows - lr * grads) for an embedding cache.
+  Matrix updated_rows() const;
 
-  /// Recomputes updated_rows() from the installed rows and `grads` — the
-  /// gradients as the host will see them after a lossy codec round trip —
-  /// so the worker's cache tracks the host store, not the exact gradients
-  /// that were never sent.
-  void apply_decoded_update(const Matrix& grads, float lr);
+  /// Moves the installed rows and the captured gradients out, for a
+  /// pipeline that owns both between batches; the next install() and
+  /// backward_and_update() refill them.
+  void hand_back(Matrix& rows, Matrix& grads);
 
  private:
   index_t num_rows_;
   index_t dim_;
+  float lr_ = 0.0f;
   std::vector<index_t> unique_;
   std::vector<index_t> occurrence_;  // per batch position
   Matrix rows_;
   Matrix grads_;
-  Matrix updated_;
 };
 
-struct ElRecRunStats {
-  index_t batches = 0;
-  double wall_seconds = 0.0;
+struct ElRecRunStats : PipelineStats {
   double final_loss = 0.0;
   std::vector<float> loss_curve;
-  index_t rows_patched = 0;   // RAW repairs performed by the caches
-  std::size_t cache_peak = 0;
-  index_t checkpoints_written = 0;
-  // Encoded bytes that crossed the queues this run, and the raw fp32 cost
-  // of the same tensors (bytes-on-queue reduction = raw / encoded).
-  std::uint64_t encoded_queue_bytes = 0;
-  std::uint64_t raw_queue_bytes = 0;
 };
 
 class ElRecTrainer {
@@ -129,9 +105,9 @@ class ElRecTrainer {
   /// Trains for `num_batches` batches of `batch_size`, streaming data from
   /// `data`, starting at `start_batch` (pass the value resume() returned,
   /// with `data` fast-forwarded past the already-trained batches, to
-  /// continue an interrupted run). Pipelined when queue_capacity > 1,
-  /// sequential otherwise. Throws PipelineError on any thread failure,
-  /// after the shutdown protocol has quiesced the pipeline.
+  /// continue an interrupted run). Runs on run_pipeline(): pipelined when
+  /// queue_capacity > 1, sequential otherwise; throws PipelineError on any
+  /// thread failure, after the shutdown protocol has quiesced the pipeline.
   ElRecRunStats train(SyntheticDataset& data, index_t num_batches,
                       index_t batch_size, index_t start_batch = 0);
 
@@ -146,25 +122,11 @@ class ElRecTrainer {
   std::size_t device_embedding_bytes() const;
 
  private:
-  // One prefetched unit traveling through the queue. Tensor payloads cross
-  // the queues encoded; the null codec makes the round trip bitwise-exact.
-  struct Prefetched {
-    index_t batch_id = 0;
-    MiniBatch batch;
-    std::vector<std::vector<index_t>> host_unique;  // per host table
-    std::vector<EncodedBlob> host_rows;
-  };
-  struct GradUnit {
-    index_t batch_id = 0;
-    std::vector<std::vector<index_t>> indices;
-    std::vector<EncodedBlob> grads;
-  };
-
   /// Atomically persists model parameters + host stores + `next_batch`.
   void save_checkpoint(index_t next_batch);
 
   ElRecTrainerConfig config_;
-  std::vector<std::size_t> host_slot_of_table_;  // table -> host index or npos
+  std::vector<std::size_t> host_tables_;         // host index -> table
   std::vector<HostTableClient*> host_clients_;   // borrowed from model_
   std::vector<std::unique_ptr<HostEmbeddingStore>> host_stores_;
   std::unique_ptr<DlrmModel> model_;

@@ -42,7 +42,8 @@ class HostEmbeddingStore {
 
   /// Lock-free view for quiescent readers only: the checkpoint writer
   /// calls this after every gradient up to the checkpoint batch has been
-  /// applied and no pull is in flight (pipeline_checkpoint.cpp).
+  /// applied and while no other is in flight, so only reads (the server's
+  /// pulls) can overlap it (pipeline_checkpoint.cpp).
   const Matrix& weights() const ELREC_NO_THREAD_SAFETY_ANALYSIS {
     return weights_;
   }

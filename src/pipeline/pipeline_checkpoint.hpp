@@ -22,6 +22,28 @@
 
 namespace elrec {
 
+class BinaryReader;
+class BinaryWriter;
+
+/// Every trainer checkpoint starts with a four-byte tag — `legacy_tag`
+/// under the null codec (byte-identical to pre-codec files), else
+/// `codec_tag` followed by the u32 codec id — and the next batch to run.
+void write_checkpoint_header(BinaryWriter& w, const char* legacy_tag,
+                             const char* codec_tag, CodecId codec,
+                             index_t next_batch);
+
+/// Reads that header and returns the next batch; throws PipelineError when
+/// the checkpoint was written under a codec other than `codec`.
+index_t read_checkpoint_header(BinaryReader& r, const char* legacy_tag,
+                               const char* codec_tag, CodecId codec,
+                               const std::string& path);
+
+/// One store's section of a checkpoint: rows, dim, weights. The reader
+/// checks the shape against `store` and returns the weights without
+/// installing them, so callers can verify the footer first.
+void write_store_section(BinaryWriter& w, const HostEmbeddingStore& store);
+Matrix read_store_section(BinaryReader& r, const HostEmbeddingStore& store);
+
 /// Atomically persists the store plus the id of the next batch to run.
 void save_pipeline_checkpoint(const HostEmbeddingStore& store,
                               index_t next_batch, const std::string& path,

@@ -1,16 +1,18 @@
-// Generic pipelined parameter-server training loop (§V-A, Fig. 9/10a).
+// The pipelined parameter-server training runtime (§V-A, Fig. 9/10a).
 //
-// A server thread pre-fetches embedding rows for upcoming batches from the
-// HostEmbeddingStore into a bounded Pre-fetch Queue and drains a Gradient
-// Queue back into the store, while the worker (caller thread) consumes
-// prefetched batches, synchronizes them against the EmbeddingCache, runs a
-// user-supplied compute step, and pushes gradients. The compute step is a
-// callback so both unit tests (analytic gradients with a sequential oracle)
-// and the full DLRM trainer reuse the same runtime.
+// A server thread loads upcoming batches, pre-fetches the embedding rows
+// each one reads from every HostEmbeddingStore into a bounded Pre-fetch
+// Queue, and drains a Gradient Queue back into the stores, while the worker
+// (caller thread) consumes prefetched batches, synchronizes their rows
+// against one EmbeddingCache per store, runs the compute step, and pushes
+// gradients. What a batch is stays opaque to the runtime: it carries a
+// caller-defined payload (a MiniBatch for ElRecTrainer, nothing for the
+// single-table PipelineTrainer below) from the load step to the compute
+// step. Every trainer with host-resident tables runs on run_pipeline().
 //
 // Fault tolerance: any thread failure runs the shutdown protocol — both
 // queues close, the server is joined, in-flight gradients are drained into
-// the store — and surfaces as a PipelineError naming the stage and batch.
+// the stores — and surfaces as a PipelineError naming the stage and batch.
 // Transient host-store faults are retried with exponential backoff; an
 // optional queue deadline converts a stalled peer into a diagnosed error
 // instead of a deadlock; periodic crash-safe checkpoints enable resume().
@@ -29,22 +31,6 @@
 
 namespace elrec {
 
-// Both queues carry encoded blobs, not raw matrices: every byte crossing a
-// queue goes through the configured codec. Under the (default) null codec
-// the blob is a raw fp32 payload, so the decoded tensors — and hence the
-// whole run — are bitwise-identical to the pre-codec pipeline.
-struct PrefetchedBatch {
-  index_t batch_id = 0;
-  std::vector<index_t> indices;  // unique rows of this batch
-  EncodedBlob rows;              // encoded pulled parameters, row per index
-};
-
-struct GradientPush {
-  index_t batch_id = 0;
-  std::vector<index_t> indices;
-  EncodedBlob grads;  // encoded aggregated per-unique-index gradients
-};
-
 struct PipelineConfig {
   index_t queue_capacity = 4;  // depth of both queues; 1 == sequential mode
   float lr = 0.05f;
@@ -55,11 +41,12 @@ struct PipelineConfig {
 
   // Deadline for each queue wait; 0 = wait forever. With a deadline set, a
   // stalled peer (e.g. a wedged server) yields a PipelineError instead of
-  // blocking run() indefinitely.
+  // blocking the run indefinitely.
   std::chrono::milliseconds queue_timeout{0};
 
-  // Every n applied batches the server writes a crash-safe checkpoint of
-  // the host store to checkpoint_path (0 = off).
+  // Every n batches the worker waits until the server has applied every
+  // gradient so far and then calls the checkpoint step, which writes a
+  // crash-safe checkpoint to checkpoint_path (0 = off).
   index_t checkpoint_every_n = 0;
   std::string checkpoint_path;
 
@@ -72,10 +59,9 @@ struct PipelineConfig {
 
 struct PipelineStats {
   index_t batches = 0;
-  index_t rows_patched = 0;      // cache sync hits
-  std::size_t cache_peak = 0;    // max cache entries (LC bound check)
+  index_t rows_patched = 0;      // cache sync hits (RAW repairs)
+  std::size_t cache_peak = 0;    // max entries of any cache (LC bound check)
   index_t checkpoints_written = 0;
-  double worker_seconds = 0.0;
   double wall_seconds = 0.0;
   // Bytes that crossed the queues this run (encoded), and what the same
   // tensors would have cost raw — the bench's bytes-on-queue reduction.
@@ -83,21 +69,53 @@ struct PipelineStats {
   std::uint64_t raw_queue_bytes = 0;
 };
 
+/// Per-store row lists of one batch: entry h belongs to stores[h].
+using RowIds = std::vector<std::vector<index_t>>;
+
+/// The three caller-supplied steps of a pipelined run.
+template <typename Payload>
+struct PipelineSteps {
+  /// Server thread: loads batch `batch_id` and names, in `unique[h]`, the
+  /// distinct rows it reads from store h.
+  std::function<Payload(index_t batch_id, RowIds& unique)> load;
+  /// Worker thread: trains on the batch. `rows[h]` holds the synchronized
+  /// parameters of `unique[h]`; fill `grads[h]` with dL/d(row), same shape.
+  /// The step may move the rows out but must put them back unchanged: the
+  /// runtime turns them into the cache's post-update rows afterwards.
+  std::function<void(index_t batch_id, Payload& payload, const RowIds& unique,
+                     std::vector<Matrix>& rows, std::vector<Matrix>& grads)>
+      compute;
+  /// Worker thread, at a quiescent point (every gradient of the batches
+  /// before `next_batch` applied, none after): persists what resume() needs
+  /// to replay from `next_batch`. Required when checkpoint_every_n > 0.
+  std::function<void(index_t next_batch)> checkpoint;
+};
+
+/// Runs batches [start_batch, end_batch) through the pipeline. Blocks until
+/// every gradient has been applied to the stores. Throws PipelineError on
+/// any thread failure, after the shutdown protocol has quiesced the
+/// pipeline. Instantiated for MiniBatch and std::monostate payloads.
+template <typename Payload>
+PipelineStats run_pipeline(const std::vector<HostEmbeddingStore*>& stores,
+                           const PipelineConfig& config, index_t start_batch,
+                           index_t end_batch,
+                           const PipelineSteps<Payload>& steps);
+
 /// Computes per-unique-row gradients for one batch: given the (synchronized)
 /// parameter rows, fill `grads` with dL/d(row).
 using ComputeStep = std::function<void(index_t batch_id,
                                        const std::vector<index_t>& indices,
                                        const Matrix& rows, Matrix& grads)>;
 
+/// The runtime over one host store whose batches are given up front as
+/// lists of unique row ids; checkpoints hold the store alone.
 class PipelineTrainer {
  public:
   PipelineTrainer(HostEmbeddingStore& store, PipelineConfig config);
 
   /// Runs the pipeline over `batches` (each a list of unique row indices),
   /// starting at `start_batch` (use the value resume() returned to continue
-  /// an interrupted run). Blocks until every gradient has been applied to
-  /// the host store. Throws PipelineError on any thread failure, after the
-  /// shutdown protocol has quiesced the pipeline.
+  /// an interrupted run).
   PipelineStats run(const std::vector<std::vector<index_t>>& batches,
                     const ComputeStep& compute, index_t start_batch = 0);
 

@@ -93,31 +93,56 @@ TEST(ElRecTrainerTest, TrainsAndReducesLoss) {
   EXPECT_LT(tail, head * 0.97);
 }
 
+std::vector<float> parameters_of(DlrmModel& model) {
+  std::vector<float> out;
+  model.visit_parameters(
+      [&](float* p, std::size_t n) { out.insert(out.end(), p, p + n); });
+  return out;
+}
+
 TEST(ElRecTrainerTest, PipelinedMatchesSequentialExactly) {
-  // Same seed, same data stream: queue depth must not change the math —
+  // Same seed, same data stream: at no queue depth may the pipeline change
+  // a bit of the loss curve, the host store or the device parameters —
   // this is the §V-B claim (the cache removes the RAW conflict entirely).
   const DatasetSpec spec = tiny_spec();
-
   ElRecTrainerConfig seq_cfg = base_config(spec);
   seq_cfg.queue_capacity = 1;
-  ElRecTrainerConfig pipe_cfg = base_config(spec);
-  pipe_cfg.queue_capacity = 6;
-
   ElRecTrainer seq(seq_cfg, spec);
-  ElRecTrainer pipe(pipe_cfg, spec);
   SyntheticDataset data_a(spec, 7);
-  SyntheticDataset data_b(spec, 7);
-
   const ElRecRunStats s1 = seq.train(data_a, 60, 64);
-  const ElRecRunStats s2 = pipe.train(data_b, 60, 64);
-  ASSERT_EQ(s1.loss_curve.size(), s2.loss_curve.size());
-  for (std::size_t i = 0; i < s1.loss_curve.size(); ++i) {
-    EXPECT_NEAR(s1.loss_curve[i], s2.loss_curve[i], 1e-5f) << "batch " << i;
+
+  for (const index_t depth : {2, 4, 6, 8}) {
+    ElRecTrainerConfig pipe_cfg = base_config(spec);
+    pipe_cfg.queue_capacity = depth;
+    ElRecTrainer pipe(pipe_cfg, spec);
+    SyntheticDataset data_b(spec, 7);
+    const ElRecRunStats s2 = pipe.train(data_b, 60, 64);
+    EXPECT_EQ(s1.loss_curve, s2.loss_curve) << "depth " << depth;
+    EXPECT_EQ(Matrix::max_abs_diff(seq.host_store(0).weights(),
+                                   pipe.host_store(0).weights()),
+              0.0f)
+        << "depth " << depth;
+    EXPECT_EQ(parameters_of(seq.model()), parameters_of(pipe.model()))
+        << "depth " << depth;
   }
-  // Host stores end identical.
-  EXPECT_LT(Matrix::max_abs_diff(seq.host_store(0).weights(),
-                                 pipe.host_store(0).weights()),
-            1e-4f);
+}
+
+TEST(ElRecTrainerTest, DeviceOnlyTablesSendNothingThroughTheQueues) {
+  // No host table: the runtime still loads batches on the server thread,
+  // but no row or gradient byte crosses a queue and no cache fills.
+  const DatasetSpec spec = tiny_spec();
+  ElRecTrainerConfig cfg = base_config(spec);
+  cfg.placement = {TablePlacement::kDeviceTT, TablePlacement::kDeviceDense,
+                   TablePlacement::kDeviceDense};
+  ElRecTrainer trainer(cfg, spec);
+  ASSERT_EQ(trainer.num_host_tables(), 0u);
+  SyntheticDataset data(spec, 3);
+  const ElRecRunStats stats = trainer.train(data, 12, 64);
+  EXPECT_EQ(stats.batches, 12);
+  EXPECT_EQ(stats.loss_curve.size(), 12u);
+  EXPECT_EQ(stats.encoded_queue_bytes, 0u);
+  EXPECT_EQ(stats.raw_queue_bytes, 0u);
+  EXPECT_EQ(stats.cache_peak, 0u);
 }
 
 TEST(ElRecTrainerTest, DisablingCacheChangesResultUnderDeepQueues) {

@@ -183,7 +183,7 @@ TEST_F(FaultInjectionTest, InjectedComputeFaultPointAlsoShutsDownCleanly) {
   FaultSpec spec;
   spec.kind = FaultKind::kError;
   spec.skip_first = 5;
-  FaultInjector::instance().arm("pipeline.compute", spec);
+  FaultInjector::instance().arm("elrec.compute", spec);
   try {
     trainer.run(batches, decay_compute());
     FAIL() << "expected PipelineError";
@@ -229,7 +229,7 @@ TEST_F(FaultInjectionTest, StalledServerDiagnosedByQueueDeadline) {
   spec.delay = std::chrono::milliseconds(3000);
   spec.skip_first = 4;
   spec.max_fires = 1;
-  FaultInjector::instance().arm("pipeline.server_tick", spec);
+  FaultInjector::instance().arm("elrec.server_tick", spec);
 
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(trainer.run(batches, decay_compute()), PipelineError);

@@ -7,6 +7,7 @@
 
 #include <thread>
 
+#include "embed/minibatch.hpp"
 #include "pipeline/allreduce.hpp"
 #include "pipeline/embedding_cache.hpp"
 #include "pipeline/host_embedding_store.hpp"
@@ -270,6 +271,43 @@ TEST(PipelineTrainerTest, SequentialModeNeedsNoPatches) {
   PipelineTrainer trainer(store, cfg);
   const PipelineStats stats = trainer.run(batches, decay_compute());
   EXPECT_EQ(stats.batches, 10);
+}
+
+TEST(PipelineRuntimeTest, StoresAndPayloadTravelTogetherBitwise) {
+  // Two stores of different shapes plus a payload that names its batch:
+  // the worker must see each batch's own payload next to that batch's
+  // rows, and the stores must end bitwise equal to the sequential oracle.
+  const auto batches_a = overlapping_batches(30, 24, 77);
+  const auto batches_b = overlapping_batches(30, 16, 78);
+  const Matrix oracle_a = run_sequential_oracle(batches_a, 24, 3, 0.3f, 123);
+  const Matrix oracle_b = run_sequential_oracle(batches_b, 16, 2, 0.3f, 456);
+
+  Prng rng_a(123), rng_b(456);
+  HostEmbeddingStore store_a(24, 3, rng_a);
+  HostEmbeddingStore store_b(16, 2, rng_b);
+  PipelineConfig cfg;
+  cfg.queue_capacity = 4;
+  cfg.lr = 0.3f;
+  const ComputeStep decay = decay_compute();
+  PipelineSteps<MiniBatch> steps;
+  steps.load = [&](index_t b, RowIds& unique) {
+    unique[0] = batches_a[static_cast<std::size_t>(b)];
+    unique[1] = batches_b[static_cast<std::size_t>(b)];
+    MiniBatch payload;
+    payload.labels = {static_cast<float>(b)};
+    return payload;
+  };
+  steps.compute = [&](index_t b, MiniBatch& payload, const RowIds& unique,
+                      std::vector<Matrix>& rows, std::vector<Matrix>& grads) {
+    EXPECT_EQ(payload.labels, std::vector<float>{static_cast<float>(b)});
+    for (std::size_t h = 0; h < 2; ++h) decay(b, unique[h], rows[h], grads[h]);
+  };
+  const PipelineStats stats =
+      run_pipeline({&store_a, &store_b}, cfg, 0, 30, steps);
+  EXPECT_EQ(stats.batches, 30);
+  EXPECT_GT(stats.rows_patched, 0);
+  EXPECT_EQ(Matrix::max_abs_diff(store_a.weights(), oracle_a), 0.0f);
+  EXPECT_EQ(Matrix::max_abs_diff(store_b.weights(), oracle_b), 0.0f);
 }
 
 }  // namespace
