@@ -299,6 +299,30 @@ void decode_into(const CodecWireHeader& h, const std::uint8_t* payload,
   }
 }
 
+// Payload bytes implied by a header's kind, bits and shape. Throws on a
+// kind or code width the decoder does not know, and on a size that does not
+// fit in 64 bits.
+std::uint64_t expected_payload_bytes(const CodecWireHeader& h) {
+  const auto rows = static_cast<std::uint64_t>(h.rows);
+  const auto cols = static_cast<std::uint64_t>(h.cols);
+  std::uint64_t raw_bytes = 0;
+  ELREC_CHECK(!__builtin_mul_overflow(rows, cols, &raw_bytes) &&
+                  !__builtin_mul_overflow(raw_bytes, sizeof(float), &raw_bytes),
+              "encoded blob shape overflows");
+  if (h.payload_kind == kCodecPayloadRawF32) return raw_bytes;
+  ELREC_CHECK(h.payload_kind == kCodecPayloadQuantized,
+              "unknown codec payload kind");
+  ELREC_CHECK(h.bits == 4 || h.bits == 8,
+              "quantized codec blob must use 4- or 8-bit codes");
+  const std::uint64_t row_bytes = h.bits == 4 ? cols / 2 + cols % 2 : cols;
+  std::uint64_t payload = 0;
+  ELREC_CHECK(!__builtin_mul_overflow(static_cast<std::uint64_t>(h.kept_rows),
+                                      sizeof(std::uint32_t) + row_bytes,
+                                      &payload),
+              "encoded blob kept-row payload overflows");
+  return payload;
+}
+
 }  // namespace
 
 std::string codec_name(CodecId id) {
@@ -329,10 +353,16 @@ CodecWireHeader peek_blob_header(const EncodedBlob& blob) {
   std::memcpy(&h, blob.data(), sizeof(h));
   ELREC_CHECK(std::memcmp(h.magic, kMagic, 4) == 0,
               "encoded blob magic mismatch — not a codec blob");
-  ELREC_CHECK(h.rows >= 0 && h.cols >= 0 && h.kept_rows <= h.rows,
+  ELREC_CHECK(h.rows >= 0 && h.cols >= 0 && h.kept_rows >= 0 &&
+                  h.kept_rows <= h.rows,
               "encoded blob header is implausible");
-  ELREC_CHECK(blob.size() == sizeof(CodecWireHeader) + h.payload_bytes,
+  ELREC_CHECK(blob.size() - sizeof(CodecWireHeader) == h.payload_bytes,
               "encoded blob payload length mismatch — truncated");
+  // The checksum covers only the payload, so the header's shape must be
+  // checked against the payload it claims: decode sizes its writes and
+  // reads from rows, cols, kept_rows and bits.
+  ELREC_CHECK(h.payload_bytes == expected_payload_bytes(h),
+              "encoded blob payload size does not match its header's shape");
   ELREC_CHECK(h.checksum == payload_checksum(blob),
               "encoded blob checksum mismatch — corrupt payload");
   return h;

@@ -46,6 +46,7 @@ EffTTTable::EffTTTable(index_t num_rows, TTShape shape, Prng& rng,
     : num_rows_(num_rows),
       config_(config),
       cores_(check_cores(std::move(shape))),
+      kernels_(find_tt3_kernels(cores_.shape())),
       reuse_buffer_(prefix_count(cores_.shape()), prefix_floats(cores_.shape())) {
   ELREC_CHECK(num_rows > 0, "table must be non-empty");
   ELREC_CHECK(cores_.shape().padded_rows() >= num_rows,
@@ -57,6 +58,7 @@ EffTTTable::EffTTTable(index_t num_rows, TTCores cores, EffTTConfig config)
     : num_rows_(num_rows),
       config_(config),
       cores_((check_cores(cores.shape()), std::move(cores))),
+      kernels_(find_tt3_kernels(cores_.shape())),
       reuse_buffer_(prefix_count(cores_.shape()), prefix_floats(cores_.shape())) {
   ELREC_CHECK(cores_.shape().padded_rows() >= num_rows,
               "row factorization does not cover num_rows");
@@ -87,14 +89,6 @@ void EffTTTable::remap_rows(const std::vector<index_t>& in,
   }
 }
 
-index_t EffTTTable::suffix_length() const {
-  index_t suffix = 1;
-  for (int k = 2; k < cores_.shape().num_cores(); ++k) {
-    suffix *= cores_.shape().row_factor(k);
-  }
-  return suffix;
-}
-
 void EffTTTable::fill_prefix_products(std::span<const index_t> rows,
                                       ReuseBuffer& reuse,
                                       PointerPrepResult& prep) const {
@@ -113,7 +107,11 @@ void EffTTTable::fill_prefix_products(std::span<const index_t> rows,
   g.lda = g.k;
   g.ldb = g.n;
   g.ldc = g.n;
-  batched_gemm(g, prep.ptr_a, prep.ptr_b, prep.ptr_c);
+  if (kernels_ != nullptr) {
+    batched_gemm(g, prep.ptr_a, prep.ptr_b, prep.ptr_c, kernels_->prefix);
+  } else {
+    batched_gemm(g, prep.ptr_a, prep.ptr_b, prep.ptr_c);
+  }
 }
 
 void EffTTTable::compute_prefix_products(std::span<const index_t> rows) {
@@ -123,17 +121,15 @@ void EffTTTable::compute_prefix_products(std::span<const index_t> rows) {
 
 // Extends a row's prefix product (n1 n2 x R2) through cores 2..d-1 into the
 // final embedding row at `dst`. `chain` receives intermediate prefixes
-// A_2..A_{d-2} if non-null (needed by the generic backward); scratch vectors
-// are caller-provided to avoid per-row allocation.
-void EffTTTable::chain_suffix(index_t row, const float* p12, float* dst,
+// A_2..A_{d-2} if non-null (needed by the generic backward); `parts` and the
+// scratch vectors are caller-provided to avoid per-row allocation.
+void EffTTTable::chain_suffix(std::span<const index_t> parts, const float* p12,
+                              float* dst,
                               std::vector<std::vector<float>>* chain,
                               std::vector<float>& sa,
                               std::vector<float>& sb) const {
   const TTShape& shape = cores_.shape();
   const int d = shape.num_cores();
-  std::vector<index_t> parts(static_cast<std::size_t>(d));
-  shape.factorize_row(row, parts);
-
   index_t p = shape.col_factor(0) * shape.col_factor(1);
   sa.assign(p12, p12 + p * shape.rank(2));
   for (int k = 2; k < d; ++k) {
@@ -161,8 +157,8 @@ void EffTTTable::chain_suffix(index_t row, const float* p12, float* dst,
 
 std::size_t EffTTTable::expand_rows_from_prefixes(
     std::span<const index_t> rows, const ReuseBuffer& reuse,
-    const PointerPrepResult& prep, Matrix& dst, std::vector<float>& sa,
-    std::vector<float>& sb) const {
+    const PointerPrepResult& prep, Matrix& dst,
+    EffTTExpandScratch& scratch) const {
   const TTShape& shape = cores_.shape();
   const int d = shape.num_cores();
   dst.resize(static_cast<index_t>(rows.size()), shape.dim());
@@ -174,13 +170,13 @@ std::size_t EffTTTable::expand_rows_from_prefixes(
     const index_t n12 = shape.col_factor(0) * shape.col_factor(1);
     const index_t n3 = shape.col_factor(2);
     const index_t r2 = shape.rank(2);
-    std::vector<const float*> pa(rows.size());
-    std::vector<const float*> pb(rows.size());
-    std::vector<float*> pc(rows.size());
+    scratch.a.resize(rows.size());
+    scratch.b.resize(rows.size());
+    scratch.c.resize(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      pa[i] = reuse.slot_data(prep.slot_of[i]);
-      pb[i] = cores_.slice(2, rows[i] % m3);
-      pc[i] = dst.row(static_cast<index_t>(i));
+      scratch.a[i] = reuse.slot_data(prep.slot_of[i]);
+      scratch.b[i] = cores_.slice(2, rows[i] % m3);
+      scratch.c[i] = dst.row(static_cast<index_t>(i));
     }
     BatchedGemmShape g;
     g.m = n12;
@@ -189,23 +185,30 @@ std::size_t EffTTTable::expand_rows_from_prefixes(
     g.lda = r2;
     g.ldb = n3;
     g.ldc = n3;
-    batched_gemm(g, pa, pb, pc);
+    if (kernels_ != nullptr) {
+      batched_gemm(g, scratch.a, scratch.b, scratch.c, kernels_->expand);
+    } else {
+      batched_gemm(g, scratch.a, scratch.b, scratch.c);
+    }
     return rows.size();
   }
 
   // Generic d: chain the remaining cores per row.
+  scratch.parts.resize(static_cast<std::size_t>(d));
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    chain_suffix(rows[i], reuse.slot_data(prep.slot_of[i]),
-                 dst.row(static_cast<index_t>(i)), nullptr, sa, sb);
+    shape.factorize_row(rows[i], scratch.parts);
+    chain_suffix(scratch.parts, reuse.slot_data(prep.slot_of[i]),
+                 dst.row(static_cast<index_t>(i)), nullptr, scratch.sa,
+                 scratch.sb);
   }
   return rows.size() * static_cast<std::size_t>(d - 2);
 }
 
 void EffTTTable::compute_rows_from_prefixes(std::span<const index_t> rows,
                                             Matrix& dst) {
-  std::vector<float> sa, sb;
   stats_.forward_gemms +=
-      expand_rows_from_prefixes(rows, reuse_buffer_, prep_, dst, sa, sb);
+      expand_rows_from_prefixes(rows, reuse_buffer_, prep_, dst,
+                                expand_scratch_);
 }
 
 void EffTTTable::forward(const IndexBatch& batch, Matrix& out) {
@@ -287,9 +290,23 @@ void EffTTTable::lookup(const IndexBatch& batch, Matrix& out,
   ws->unique = build_unique_index_map(ws->rows);
   fill_prefix_products(ws->unique.unique, ws->reuse, ws->prep);
   expand_rows_from_prefixes(ws->unique.unique, ws->reuse, ws->prep,
-                            ws->unique_rows, ws->sa, ws->sb);
+                            ws->unique_rows, ws->expand);
   out.resize(batch.batch_size(), dim());
   pool_unique_rows(batch, ws->unique, ws->unique_rows, out);
+}
+
+void EffTTTable::compute_prefix(std::span<const index_t> parts,
+                                float* p12) const {
+  const float* c0 = cores_.slice(0, parts[0]);
+  const float* c1 = cores_.slice(1, parts[1]);
+  if (kernels_ != nullptr) {
+    kernels_->prefix(c0, c1, p12);
+    return;
+  }
+  const TTShape& shape = cores_.shape();
+  const index_t n2r2 = shape.col_factor(1) * shape.rank(2);
+  gemm(Trans::kNo, Trans::kNo, shape.col_factor(0), n2r2, shape.rank(1),
+       1.0f, c0, shape.rank(1), c1, n2r2, 0.0f, p12, n2r2);
 }
 
 void EffTTTable::forward_no_reuse(const IndexBatch& batch,
@@ -297,25 +314,22 @@ void EffTTTable::forward_no_reuse(const IndexBatch& batch,
                                   Matrix& out) {
   // Ablation path: every occurrence recomputes its full chain.
   const TTShape& shape = cores_.shape();
-  const index_t m2 = shape.row_factor(1);
-  const index_t suffix = suffix_length();
-  const index_t n1 = shape.col_factor(0);
-  const index_t n2r2 = shape.col_factor(1) * shape.rank(2);
-  const index_t n12 = shape.col_factor(0) * shape.col_factor(1);
-  const index_t r1 = shape.rank(1);
   const index_t n = dim();
 
   Matrix occ_rows(static_cast<index_t>(rows.size()), n);
-  std::vector<float> p12(static_cast<std::size_t>(n12) * shape.rank(2));
-  std::vector<float> sa, sb;
+  std::vector<float> p12(static_cast<std::size_t>(prefix_floats(shape)));
+  EffTTExpandScratch& scratch = expand_scratch_;
+  scratch.parts.resize(static_cast<std::size_t>(shape.num_cores()));
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const index_t row = rows[i];
-    const index_t prefix = row / suffix;
-    gemm(Trans::kNo, Trans::kNo, n1, n2r2, r1, 1.0f,
-         cores_.slice(0, prefix / m2), r1, cores_.slice(1, prefix % m2), n2r2,
-         0.0f, p12.data(), n2r2);
-    chain_suffix(row, p12.data(), occ_rows.row(static_cast<index_t>(i)),
-                 nullptr, sa, sb);
+    shape.factorize_row(rows[i], scratch.parts);
+    compute_prefix(scratch.parts, p12.data());
+    float* dst = occ_rows.row(static_cast<index_t>(i));
+    if (kernels_ != nullptr) {
+      kernels_->expand(p12.data(), cores_.slice(2, scratch.parts[2]), dst);
+    } else {
+      chain_suffix(scratch.parts, p12.data(), dst, nullptr, scratch.sa,
+                   scratch.sb);
+    }
     stats_.forward_gemms +=
         static_cast<std::size_t>(shape.num_cores() - 1);
   }
@@ -362,24 +376,33 @@ float* EffTTTable::grad_slice(GradAccum& acc, int k, index_t ik) {
 
 void EffTTTable::accumulate_row_gradient(GradAccum& acc,
                                          BackwardScratch& scratch,
-                                         index_t row, const float* p12,
-                                         const float* g) {
+                                         std::span<const index_t> parts,
+                                         const float* p12, const float* g) {
   const TTShape& shape = cores_.shape();
   const int d = shape.num_cores();
   const index_t n1 = shape.col_factor(0);
   const index_t n2r2 = shape.col_factor(1) * shape.rank(2);
   const index_t r1 = shape.rank(1);
 
-  scratch.parts.resize(static_cast<std::size_t>(d));
-  shape.factorize_row(row, scratch.parts);
+  if (kernels_ != nullptr) {
+    // The fused d = 3 chain: dC2, dP12, dC1 and dC0 in one call, reading
+    // the C1/C2 transposes packed at the start of this backward.
+    kernels_->backward(cores_.slice(0, parts[0]), c1t_.slice(parts[1]),
+                       c2t_.slice(parts[2]), p12, g,
+                       grad_slice(acc, 0, parts[0]),
+                       grad_slice(acc, 1, parts[1]),
+                       grad_slice(acc, 2, parts[2]));
+    acc.gemms += 4;
+    return;
+  }
 
   // Forward chain prefixes beyond P12 (needed when d > 3): chain[k] holds
   // A_k (P_k x R_{k+1}) for k in [2, d-2]; A_1 == p12.
   if (d > 3) {
     scratch.chain.resize(static_cast<std::size_t>(d));
     scratch.row_out.resize(static_cast<std::size_t>(shape.dim()));
-    chain_suffix(row, p12, scratch.row_out.data(), &scratch.chain, scratch.sa,
-                 scratch.sb);
+    chain_suffix(parts, p12, scratch.row_out.data(), &scratch.chain,
+                 scratch.sa, scratch.sb);
   }
 
   // Backward sweep over cores d-1 .. 2: dA_{k} viewed (P_{k-1} x n_k R_{k+1});
@@ -394,10 +417,10 @@ void EffTTTable::accumulate_row_gradient(GradAccum& acc,
         k == 2 ? p12 : scratch.chain[static_cast<std::size_t>(k - 1)].data();
     gemm(Trans::kYes, Trans::kNo, rk, cols, pk, 1.0f, a_prev, rk,
          scratch.d_prefix.data(), cols, 1.0f,
-         grad_slice(acc, k, scratch.parts[static_cast<std::size_t>(k)]), cols);
+         grad_slice(acc, k, parts[static_cast<std::size_t>(k)]), cols);
     scratch.d_prev.assign(static_cast<std::size_t>(pk) * rk, 0.0f);
     gemm(Trans::kNo, Trans::kYes, pk, rk, cols, 1.0f, scratch.d_prefix.data(),
-         cols, cores_.slice(k, scratch.parts[static_cast<std::size_t>(k)]),
+         cols, cores_.slice(k, parts[static_cast<std::size_t>(k)]),
          cols, 0.0f, scratch.d_prev.data(), rk);
     scratch.d_prefix.swap(scratch.d_prev);
     acc.gemms += 2;
@@ -408,12 +431,12 @@ void EffTTTable::accumulate_row_gradient(GradAccum& acc,
                n1 * shape.col_factor(1) * shape.rank(2));
   // dC1[i1] += A0^T (R1 x n1) * W-view (n1 x n2 R2); A0 = C0[i0] as n1 x R1.
   gemm(Trans::kYes, Trans::kNo, r1, n2r2, n1, 1.0f,
-       cores_.slice(0, scratch.parts[0]), r1, scratch.d_prefix.data(), n2r2,
-       1.0f, grad_slice(acc, 1, scratch.parts[1]), n2r2);
+       cores_.slice(0, parts[0]), r1, scratch.d_prefix.data(), n2r2, 1.0f,
+       grad_slice(acc, 1, parts[1]), n2r2);
   // dC0[i0] += W-view * C1[i1]^T — (n1 x R1), flat == the 1 x (n1 R1) slice.
   gemm(Trans::kNo, Trans::kYes, n1, r1, n2r2, 1.0f, scratch.d_prefix.data(),
-       n2r2, cores_.slice(1, scratch.parts[1]), n2r2, 1.0f,
-       grad_slice(acc, 0, scratch.parts[0]), r1);
+       n2r2, cores_.slice(1, parts[1]), n2r2, 1.0f,
+       grad_slice(acc, 0, parts[0]), r1);
   acc.gemms += 2;
 }
 
@@ -515,6 +538,10 @@ void EffTTTable::backward_and_update(const IndexBatch& batch,
   grad_master_.gemms = 0;
 
   remap_rows(batch.indices, cached_rows_);
+  if (kernels_ != nullptr) {
+    c1t_.pack(cores_, 1);
+    c2t_.pack(cores_, 2);
+  }
 
   if (config_.in_advance_aggregation) {
     // §III-B Step 1: aggregate per-occurrence embedding gradients into one
@@ -549,11 +576,14 @@ void EffTTTable::backward_and_update(const IndexBatch& batch,
         ++acc.epoch;
         for (auto& t : acc.touched) t.clear();
         acc.gemms = 0;
+        scratch.parts.resize(static_cast<std::size_t>(shape.num_cores()));
         const index_t lo = u * s / kGradShards;
         const index_t hi = u * (s + 1) / kGradShards;
         for (index_t i = lo; i < hi; ++i) {
+          shape.factorize_row(cached_unique_.unique[static_cast<std::size_t>(i)],
+                              scratch.parts);
           accumulate_row_gradient(
-              acc, scratch, cached_unique_.unique[static_cast<std::size_t>(i)],
+              acc, scratch, scratch.parts,
               reuse_buffer_.slot_data(
                   unique_slots_[static_cast<std::size_t>(i)]),
               grad_agg_buf_.row(i));
@@ -566,25 +596,17 @@ void EffTTTable::backward_and_update(const IndexBatch& batch,
     }
   } else {
     // Ablation: per-occurrence gradients (the TT-Rec cost the paper removes).
-    const index_t n12 = shape.col_factor(0) * shape.col_factor(1);
-    const index_t r2 = shape.rank(2);
-    const index_t m2 = shape.row_factor(1);
-    const index_t suffix = suffix_length();
-    const index_t n1 = shape.col_factor(0);
-    const index_t n2r2 = shape.col_factor(1) * shape.rank(2);
-    const index_t r1 = shape.rank(1);
-    std::vector<float> p12(static_cast<std::size_t>(n12) * r2);
+    std::vector<float> p12(static_cast<std::size_t>(prefix_floats(shape)));
+    seq_scratch_.parts.resize(static_cast<std::size_t>(shape.num_cores()));
     for (index_t s = 0; s < batch.batch_size(); ++s) {
       const float* g = grad_out.row(s);
       for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
         const index_t row = cached_rows_[static_cast<std::size_t>(pos)];
-        const index_t prefix = row / suffix;
-        gemm(Trans::kNo, Trans::kNo, n1, n2r2, r1, 1.0f,
-             cores_.slice(0, prefix / m2), r1, cores_.slice(1, prefix % m2),
-             n2r2, 0.0f, p12.data(), n2r2);
+        shape.factorize_row(row, seq_scratch_.parts);
+        compute_prefix(seq_scratch_.parts, p12.data());
         stats_.backward_gemms += 1;
-        accumulate_row_gradient(grad_master_, seq_scratch_, row, p12.data(),
-                                g);
+        accumulate_row_gradient(grad_master_, seq_scratch_,
+                                seq_scratch_.parts, p12.data(), g);
       }
     }
   }

@@ -42,6 +42,7 @@
 #include "embed/embedding_table.hpp"
 #include "tensor/optimizer.hpp"
 #include "tt/tt_cores.hpp"
+#include "tt/tt_kernels.hpp"
 
 namespace elrec {
 
@@ -49,6 +50,15 @@ struct EffTTConfig {
   bool intermediate_reuse = true;      // §III-A two-level result reuse
   bool in_advance_aggregation = true;  // §III-B gradient aggregation
   bool fused_update = true;            // §III-B fused TT-core update
+};
+
+/// Reusable scratch of the stage-2 expansion: the pointer lists of the d = 3
+/// batched launch and the per-row chain buffers of the generic path.
+struct EffTTExpandScratch {
+  std::vector<const float*> a, b;
+  std::vector<float*> c;
+  std::vector<index_t> parts;
+  std::vector<float> sa, sb;
 };
 
 /// Per-reader scratch for EffTTTable::lookup(): a private reuse buffer,
@@ -66,7 +76,7 @@ class EffTTLookupContext final : public ILookupContext {
   std::vector<index_t> rows;       // remapped physical rows of the batch
   UniqueIndexMap unique;
   Matrix unique_rows;              // one materialized row per unique index
-  std::vector<float> sa, sb;       // chain_suffix scratch (d > 3)
+  EffTTExpandScratch expand;
 };
 
 class EffTTTable final : public IEmbeddingTable {
@@ -147,8 +157,8 @@ class EffTTTable final : public IEmbeddingTable {
   std::size_t expand_rows_from_prefixes(std::span<const index_t> rows,
                                         const ReuseBuffer& reuse,
                                         const PointerPrepResult& prep,
-                                        Matrix& dst, std::vector<float>& sa,
-                                        std::vector<float>& sb) const;
+                                        Matrix& dst,
+                                        EffTTExpandScratch& scratch) const;
 
   // Sum pooling (paper Step 4) of deduped rows into per-sample outputs.
   static void pool_unique_rows(const IndexBatch& batch,
@@ -160,14 +170,16 @@ class EffTTTable final : public IEmbeddingTable {
   void compute_prefix_products(std::span<const index_t> rows);
   void compute_rows_from_prefixes(std::span<const index_t> rows, Matrix& dst);
 
-  // prod_{k >= 2} m_k — the divisor turning a row id into its prefix id.
-  index_t suffix_length() const;
-
-  // Chains cores 2..d-1 onto a prefix product; optionally records the
-  // intermediate prefixes for the backward pass.
-  void chain_suffix(index_t row, const float* p12, float* dst,
-                    std::vector<std::vector<float>>* chain,
+  // Chains cores 2..d-1 onto a prefix product, for the row whose per-core
+  // indices are `parts`; optionally records the intermediate prefixes for
+  // the backward pass.
+  void chain_suffix(std::span<const index_t> parts, const float* p12,
+                    float* dst, std::vector<std::vector<float>>* chain,
                     std::vector<float>& sa, std::vector<float>& sb) const;
+
+  // p12 = C0[parts[0]] * C1[parts[1]] for one row (the ablation paths'
+  // per-occurrence stage 1).
+  void compute_prefix(std::span<const index_t> parts, float* p12) const;
 
   // Full-recompute forward used when intermediate_reuse is off.
   void forward_no_reuse(const IndexBatch& batch,
@@ -204,9 +216,11 @@ class EffTTTable final : public IEmbeddingTable {
   static constexpr int kGradShards = 16;
 
   // Gradient accumulation into `acc`'s touched-slice buffers for one logical
-  // row with embedding gradient g (length dim). `p12` is its prefix product.
+  // row, given by its per-core indices `parts`, with embedding gradient g
+  // (length dim). `p12` is its prefix product.
   void accumulate_row_gradient(GradAccum& acc, BackwardScratch& scratch,
-                               index_t row, const float* p12, const float* g);
+                               std::span<const index_t> parts,
+                               const float* p12, const float* g);
 
   // Zeroes (lazily) and returns the gradient block of slice `ik` of core k.
   float* grad_slice(GradAccum& acc, int k, index_t ik);
@@ -229,6 +243,9 @@ class EffTTTable final : public IEmbeddingTable {
   index_t num_rows_ = 0;
   EffTTConfig config_;
   TTCores cores_;
+  // Compile-time kernels for this shape, picked once at construction;
+  // nullptr keeps every product on the generic gemm() path.
+  const TT3Kernels* kernels_ = nullptr;
   std::vector<index_t> bijection_;
 
   ReuseBuffer reuse_buffer_;
@@ -248,6 +265,11 @@ class EffTTTable final : public IEmbeddingTable {
   std::vector<GradAccum> grad_shards_;
   std::vector<BackwardScratch> shard_scratch_;
   BackwardScratch seq_scratch_;  // ablation (per-occurrence) path
+  EffTTExpandScratch expand_scratch_;  // training-side stage-2 scratch
+
+  // C1 and C2 slice transposes for the kernel backward, packed once per
+  // backward_and_update call.
+  SliceTransposes c1t_, c2t_;
 
   // CSR of occurrence positions per unique row + pos -> sample map, rebuilt
   // each backward batch for the parallel in-advance aggregation.

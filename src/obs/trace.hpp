@@ -1,7 +1,7 @@
 // Low-overhead span tracing with per-thread ring buffers.
 //
 // TRACE_SPAN("subsys.stage") opens an RAII span: the constructor reads the
-// runtime enable flag and a steady-clock timestamp, the destructor pushes
+// runtime enable flag and a timestamp (trace_now_ns), the destructor pushes
 // one fixed-size event into the calling thread's private ring buffer — no
 // locks, no allocation, no shared cache line on the hot path (the enable
 // flag is read-mostly). A full ring overwrites its oldest event and counts
@@ -33,7 +33,8 @@
 namespace elrec::obs {
 
 /// One completed span. `name` must be a string with static storage duration
-/// (TRACE_SPAN passes literals); timestamps are steady-clock nanoseconds.
+/// (TRACE_SPAN passes literals); timestamps are steady-clock nanoseconds
+/// (trace_now_ns).
 struct TraceEvent {
   const char* name = nullptr;
   std::uint64_t start_ns = 0;
@@ -49,12 +50,16 @@ class ThreadTraceBuffer {
       : tid_(tid), ring_(capacity) {}
 
   void push(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns) {
-    const std::uint64_t n = pushes_.load(std::memory_order_relaxed);
-    TraceEvent& slot = ring_[static_cast<std::size_t>(n % ring_.size())];
+    // next_ == pushes_ % capacity, kept separately: a 64-bit division per
+    // span costs as much as the ring write itself.
+    const std::size_t i = next_.load(std::memory_order_relaxed);
+    TraceEvent& slot = ring_[i];
     slot.name = name;
     slot.start_ns = start_ns;
     slot.dur_ns = dur_ns;
-    pushes_.store(n + 1, std::memory_order_relaxed);
+    next_.store(i + 1 == ring_.size() ? 0 : i + 1, std::memory_order_relaxed);
+    pushes_.store(pushes_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   }
 
   std::uint32_t tid() const { return tid_; }
@@ -82,12 +87,16 @@ class ThreadTraceBuffer {
     }
   }
 
-  void clear() { pushes_.store(0, std::memory_order_relaxed); }
+  void clear() {
+    pushes_.store(0, std::memory_order_relaxed);
+    next_.store(0, std::memory_order_relaxed);
+  }
 
  private:
   std::uint32_t tid_;
   std::vector<TraceEvent> ring_;
   std::atomic<std::uint64_t> pushes_{0};
+  std::atomic<std::size_t> next_{0};
 };
 
 /// Runtime switch. Reads are one relaxed atomic load. The initial value
@@ -113,6 +122,8 @@ TraceStats trace_stats();
 
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
+/// Steady-clock nanoseconds. On x86-64 with an invariant TSC this reads the
+/// TSC and converts with a rate measured once (a 2 ms spin at first call).
 std::uint64_t trace_now_ns();
 void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t dur_ns);
@@ -138,7 +149,11 @@ class TraceSpan {
 
   ~TraceSpan() {
     if (name_ != nullptr) {
-      detail::record_span(name_, start_ns_, detail::trace_now_ns() - start_ns_);
+      // A thread that migrates between cores may read a TSC a few ticks
+      // behind its start; such a span records 0, never a wrapped length.
+      const std::uint64_t end_ns = detail::trace_now_ns();
+      detail::record_span(name_, start_ns_,
+                          end_ns > start_ns_ ? end_ns - start_ns_ : 0);
     }
   }
 

@@ -13,13 +13,14 @@ BatchedGemmStats& batched_gemm_stats() {
   return stats;
 }
 
-void batched_gemm(const BatchedGemmShape& shape,
-                  std::span<const float* const> a,
-                  std::span<const float* const> b, std::span<float* const> c) {
+namespace {
+
+template <class Product>
+void launch(const BatchedGemmShape& shape, std::span<const float* const> a,
+            std::span<const float* const> b, std::span<float* const> c,
+            const Product& product) {
   ELREC_CHECK(a.size() == b.size() && b.size() == c.size(),
               "batched_gemm pointer lists must have equal length");
-  TRACE_SPAN("tensor.batched_gemm");
-
   std::size_t executed = 0;
 // `executed` is an integral count — order-free; the float work is
 // per-product, never reduced across threads, so run-to-run bitwise
@@ -29,8 +30,7 @@ void batched_gemm(const BatchedGemmShape& shape,
     if (a.size() >= 64)
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (c[i] == nullptr) continue;
-    gemm(shape.trans_a, shape.trans_b, shape.m, shape.n, shape.k, shape.alpha,
-         a[i], shape.lda, b[i], shape.ldb, shape.beta, c[i], shape.ldc);
+    product(a[i], b[i], c[i]);
     ++executed;
   }
   // One relaxed add per counter per launch; exact totals, no per-product
@@ -42,6 +42,26 @@ void batched_gemm(const BatchedGemmShape& shape,
   stats.flops.add(executed * 2ULL * static_cast<std::size_t>(shape.m) *
                   static_cast<std::size_t>(shape.n) *
                   static_cast<std::size_t>(shape.k));
+}
+
+}  // namespace
+
+void batched_gemm(const BatchedGemmShape& shape,
+                  std::span<const float* const> a,
+                  std::span<const float* const> b, std::span<float* const> c) {
+  TRACE_SPAN("tensor.batched_gemm");
+  launch(shape, a, b, c, [&shape](const float* ai, const float* bi, float* ci) {
+    gemm(shape.trans_a, shape.trans_b, shape.m, shape.n, shape.k, shape.alpha,
+         ai, shape.lda, bi, shape.ldb, shape.beta, ci, shape.ldc);
+  });
+}
+
+void batched_gemm(const BatchedGemmShape& shape,
+                  std::span<const float* const> a,
+                  std::span<const float* const> b, std::span<float* const> c,
+                  GemmKernel kernel) {
+  TRACE_SPAN("tensor.batched_gemm");
+  launch(shape, a, b, c, kernel);
 }
 
 }  // namespace elrec

@@ -34,6 +34,18 @@ void batched_gemm(const BatchedGemmShape& shape,
                   std::span<const float* const> a,
                   std::span<const float* const> b, std::span<float* const> c);
 
+/// A product compiled for one launch shape: c = a * b with that shape's
+/// strides, trans flags, alpha and beta baked in.
+using GemmKernel = void (*)(const float* a, const float* b, float* c);
+
+/// The same launch with every product run by `kernel`, resolved once by the
+/// caller instead of dispatched per product. `kernel` must compute what
+/// gemm() computes for `shape`; `shape` still drives the counters.
+void batched_gemm(const BatchedGemmShape& shape,
+                  std::span<const float* const> a,
+                  std::span<const float* const> b, std::span<float* const> c,
+                  GemmKernel kernel);
+
 /// Bookkeeping counters so benchmarks can report launch/FLOP savings.
 ///
 /// The counters live in the process-wide MetricsRegistry under

@@ -6,7 +6,9 @@ namespace elrec {
 
 TTTable::TTTable(index_t num_rows, TTShape shape, Prng& rng,
                  float init_row_std)
-    : num_rows_(num_rows), cores_(std::move(shape)) {
+    : num_rows_(num_rows),
+      cores_(std::move(shape)),
+      kernels_(find_tt3_kernels(cores_.shape())) {
   ELREC_CHECK(num_rows > 0, "table must be non-empty");
   ELREC_CHECK(cores_.shape().padded_rows() >= num_rows,
               "row factorization does not cover num_rows");
@@ -14,7 +16,9 @@ TTTable::TTTable(index_t num_rows, TTShape shape, Prng& rng,
 }
 
 TTTable::TTTable(index_t num_rows, TTCores cores)
-    : num_rows_(num_rows), cores_(std::move(cores)) {
+    : num_rows_(num_rows),
+      cores_(std::move(cores)),
+      kernels_(find_tt3_kernels(cores_.shape())) {
   ELREC_CHECK(cores_.shape().padded_rows() >= num_rows,
               "row factorization does not cover num_rows");
 }
@@ -25,6 +29,15 @@ void TTTable::compute_row(index_t row, std::vector<index_t>& parts,
   const TTShape& shape = cores_.shape();
   const int d = shape.num_cores();
   shape.factorize_row(row, parts);
+
+  if (kernels_ != nullptr) {
+    scratch_a.resize(static_cast<std::size_t>(shape.col_factor(0) *
+                                              cores_.slice_cols(1)));
+    kernels_->prefix(cores_.slice(0, parts[0]), cores_.slice(1, parts[1]),
+                     scratch_a.data());
+    kernels_->expand(scratch_a.data(), cores_.slice(2, parts[2]), row_out);
+    return;
+  }
 
   const float* s0 = cores_.slice(0, parts[0]);
   scratch_a.assign(s0, s0 + cores_.slice_cols(0));
@@ -88,6 +101,10 @@ void TTTable::backward_and_update(const IndexBatch& batch,
   std::vector<index_t> parts(static_cast<std::size_t>(d));
   std::vector<std::vector<float>> prefixes(static_cast<std::size_t>(d));
   std::vector<float> d_prefix, d_prev;
+  if (kernels_ != nullptr) {
+    c1t_.pack(cores_, 1);
+    c2t_.pack(cores_, 2);
+  }
 
   // Step 1 (Fig. 6a): per-OCCURRENCE gradient of every core, accumulated
   // into the dense buffers. No in-advance aggregation: a row repeated t
@@ -99,11 +116,28 @@ void TTTable::backward_and_update(const IndexBatch& batch,
       shape.factorize_row(row, parts);
       backward_stats_.occurrence_gradients += 1;
 
-      // Forward prefixes A_k (P_k x R_{k+1}), A_0 = first slice.
+      if (kernels_ != nullptr) {
+        // d = 3: stage 1 into A_1, then the fused chain Eff-TT also runs.
+        const float* c0 = cores_.slice(0, parts[0]);
+        auto& p12 = prefixes[1];
+        p12.resize(static_cast<std::size_t>(shape.col_factor(0) *
+                                            cores_.slice_cols(1)));
+        kernels_->prefix(c0, cores_.slice(1, parts[1]), p12.data());
+        kernels_->backward(
+            c0, c1t_.slice(parts[1]), c2t_.slice(parts[2]), p12.data(), g,
+            core_grads_[0].row(parts[0]),
+            core_grads_[1].row(parts[1] * shape.rank(1)),
+            core_grads_[2].row(parts[2] * shape.rank(2)));
+        backward_stats_.gemm_calls += 5;
+        continue;
+      }
+
+      // Forward prefixes A_k (P_k x R_{k+1}) for k < d - 1 (the backward
+      // never reads the full row A_{d-1}), A_0 = first slice.
       const float* s0 = cores_.slice(0, parts[0]);
       prefixes[0].assign(s0, s0 + cores_.slice_cols(0));
       index_t p = shape.col_factor(0);
-      for (int k = 1; k < d; ++k) {
+      for (int k = 1; k < d - 1; ++k) {
         const index_t rk = shape.rank(k);
         const index_t cols = cores_.slice_cols(k);
         auto& out_buf = prefixes[static_cast<std::size_t>(k)];

@@ -11,6 +11,7 @@
 #include "embed/embedding_table.hpp"
 #include "tensor/optimizer.hpp"
 #include "tt/tt_cores.hpp"
+#include "tt/tt_kernels.hpp"
 
 namespace elrec {
 
@@ -65,6 +66,10 @@ class TTTable final : public IEmbeddingTable {
 
   index_t num_rows_ = 0;
   TTCores cores_;
+  // The same compile-time kernels Eff-TT uses for this shape (nullptr:
+  // generic gemm() chain), and the C1/C2 transposes their backward reads.
+  const TT3Kernels* kernels_ = nullptr;
+  SliceTransposes c1t_, c2t_;
   // Dense per-core gradient buffers, reused across batches (TT-Rec style).
   std::vector<Matrix> core_grads_;
   std::vector<OptimizerState> core_optimizers_;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 
 #include "codec/grad_codec.hpp"
@@ -231,6 +232,50 @@ TEST(CodecCorruption, BadMagicThrows) {
   make_codec(CodecConfig{})->encode(m, blob);
   blob[0] = 'X';
   EXPECT_THROW(peek_blob_header(blob), Error);
+}
+
+// The checksum covers only the payload, so a header edited on the wire
+// still checksums; its shape must be checked against the payload size.
+// These headers once let decode_into memcpy past the end of the payload.
+void expect_header_edit_throws(
+    const EncodedBlob& valid,
+    const std::function<void(CodecWireHeader&)>& edit) {
+  EncodedBlob blob = valid;
+  CodecWireHeader h;
+  std::memcpy(&h, blob.data(), sizeof(h));
+  edit(h);
+  std::memcpy(blob.data(), &h, sizeof(h));
+  EXPECT_THROW(peek_blob_header(blob), Error);
+  Matrix out;
+  EXPECT_THROW(decode_blob(blob, out), Error);
+}
+
+TEST(CodecCorruption, InflatedShapeInNullBlobThrows) {
+  const Matrix m = random_matrix(1, 4, 43);
+  EncodedBlob blob;
+  make_codec(CodecConfig{})->encode(m, blob);
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) { h.cols = 4096; });
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) {
+    h.rows = std::int64_t{1} << 62;  // rows * cols * 4 overflows 64 bits
+  });
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) {
+    h.payload_kind = 7;
+  });
+}
+
+TEST(CodecCorruption, InconsistentQuantizedHeaderThrows) {
+  const Matrix m = random_matrix(6, 5, 44);
+  EncodedBlob blob;
+  make_codec(dual_config(8))->encode(m, blob);
+  ASSERT_EQ(peek_blob_header(blob).payload_kind, kCodecPayloadQuantized);
+  ASSERT_GT(peek_blob_header(blob).kept_rows, 0);
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) { h.kept_rows = -1; });
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) { h.bits = 16; });
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) { h.bits = 4; });
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) { h.cols = 500; });
+  expect_header_edit_throws(blob, [](CodecWireHeader& h) {
+    h.kept_rows = h.rows = std::int64_t{1} << 61;  // sizes past 64 bits
+  });
 }
 
 // ---------------------------------------------------------------------

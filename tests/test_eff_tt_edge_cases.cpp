@@ -4,6 +4,10 @@
 // combinations against both the dense materialization and the baseline.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "core/eff_tt_table.hpp"
 #include "tt/tt_table.hpp"
 
@@ -16,6 +20,23 @@ struct ShapeCase {
   std::vector<index_t> ranks;
   index_t num_rows;
 };
+
+// Prints a case as "m3x4x3_n2x1x4_r1-3-3-1_36" (row factors, column
+// factors, ranks, rows). gtest_discover_tests names each ctest entry after
+// the printed parameter, and without this gtest prints a byte dump of the
+// vectors' heap pointers, so the test names changed with every build.
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  const auto join = [](const std::vector<index_t>& v, char sep) {
+    std::string s;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) s += sep;
+      s += std::to_string(v[i]);
+    }
+    return s;
+  };
+  *os << "m" << join(c.row_factors, 'x') << "_n" << join(c.col_factors, 'x')
+      << "_r" << join(c.ranks, '-') << "_" << c.num_rows;
+}
 
 class EffTTShapeSweep : public ::testing::TestWithParam<ShapeCase> {};
 

@@ -19,24 +19,37 @@ TTCores random_cores(std::uint64_t seed, TTShape shape = small_shape()) {
   return cores;
 }
 
-// All 8 optimization on/off combinations.
+// A shape with compile-time kernels (src/tt/tt_kernels): small_shape() runs
+// the generic gemm() path, this one the specialized d = 3 kernels.
+TTShape kernel_shape() {
+  return TTShape({3, 4, 5}, {4, 2, 4}, {1, 16, 16, 1});
+}
+
+// All 8 optimization on/off combinations (parameter bits 0-2); bit 3 runs
+// them on kernel_shape() instead of small_shape().
+constexpr int kKernelShapeBit = 8;
+
 class EffTTConfigTest : public ::testing::TestWithParam<int> {
  protected:
   EffTTConfig config() const {
     const int p = GetParam();
     return EffTTConfig{(p & 1) != 0, (p & 2) != 0, (p & 4) != 0};
   }
+  TTShape shape() const {
+    return (GetParam() & kKernelShapeBit) != 0 ? kernel_shape()
+                                               : small_shape();
+  }
 };
 
 TEST_P(EffTTConfigTest, ForwardMatchesMaterializedTable) {
-  EffTTTable table(55, random_cores(11), config());
+  EffTTTable table(55, random_cores(11, shape()), config());
   const Matrix dense = table.cores().materialize(55);
   const IndexBatch batch =
       IndexBatch::from_bags({{0}, {54}, {7, 7, 12}, {}, {3, 3, 3, 3}});
   Matrix out;
   table.forward(batch, out);
   ASSERT_EQ(out.rows(), 5);
-  for (index_t j = 0; j < 12; ++j) {
+  for (index_t j = 0; j < table.dim(); ++j) {
     EXPECT_NEAR(out.at(0, j), dense.at(0, j), 1e-4f);
     EXPECT_NEAR(out.at(1, j), dense.at(54, j), 1e-4f);
     EXPECT_NEAR(out.at(2, j), 2.0f * dense.at(7, j) + dense.at(12, j), 1e-4f);
@@ -49,14 +62,14 @@ TEST_P(EffTTConfigTest, BackwardMatchesBaselineTTTable) {
   // Same initial cores, same batch, same lr -> parameters must agree with
   // the TT-Rec baseline regardless of which optimizations are enabled (the
   // optimizations change the schedule, not the math).
-  const TTCores init = random_cores(13);
+  const TTCores init = random_cores(13, shape());
   EffTTTable eff(55, init, config());
   TTTable base(55, init);
 
   Prng rng(99);
   const IndexBatch batch =
       IndexBatch::from_bags({{1, 9, 9}, {9}, {20, 1}, {44, 44, 44}});
-  Matrix grad(4, 12);
+  Matrix grad(4, eff.dim());
   grad.fill_normal(rng);
 
   Matrix out_eff, out_base;
@@ -74,7 +87,7 @@ TEST_P(EffTTConfigTest, BackwardMatchesBaselineTTTable) {
 }
 
 TEST_P(EffTTConfigTest, MultiStepTrainingStaysEquivalent) {
-  const TTCores init = random_cores(17);
+  const TTCores init = random_cores(17, shape());
   EffTTTable eff(55, init, config());
   TTTable base(55, init);
   Prng rng(5);
@@ -85,7 +98,7 @@ TEST_P(EffTTConfigTest, MultiStepTrainingStaysEquivalent) {
       idx.push_back(static_cast<index_t>(rng.uniform_index(55)));
     }
     const IndexBatch batch = IndexBatch::one_per_sample(idx);
-    Matrix grad(16, 12);
+    Matrix grad(16, eff.dim());
     grad.fill_normal(rng, 0.0f, 0.1f);
 
     Matrix out_eff, out_base;
@@ -102,6 +115,9 @@ TEST_P(EffTTConfigTest, MultiStepTrainingStaysEquivalent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, EffTTConfigTest, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(KernelShape, EffTTConfigTest,
+                         ::testing::Range(kKernelShapeBit,
+                                          kKernelShapeBit + 8));
 
 TEST(EffTTTable, RequiresThreeCores) {
   Prng rng(1);

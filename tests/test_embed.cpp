@@ -2,6 +2,8 @@
 // the dense EmbeddingBag baseline (forward pooling + SGD backward).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "embed/embedding_bag.hpp"
 #include "embed/index_batch.hpp"
 
@@ -53,6 +55,33 @@ TEST(UniqueIndexMap, SortedUniqueAndOccurrences) {
   EXPECT_EQ(m.occurrence[0], 2);  // 7
   EXPECT_EQ(m.occurrence[1], 1);  // 3
   EXPECT_EQ(m.occurrence[3], 0);  // 1
+}
+
+TEST(UniqueIndexMap, MatchesSortAndSearchOnWideRanges) {
+  // Reference: the sorted-unique list and a binary search per position.
+  // Spans of 1 byte to 5 bytes and negative values cover every radix pass
+  // count and the min offset.
+  Prng rng(3);
+  for (const index_t span : {index_t{1}, index_t{200}, index_t{1000000},
+                             index_t{1} << 40}) {
+    for (const index_t offset : {index_t{0}, index_t{-7}}) {
+      std::vector<index_t> idx(3000);
+      for (auto& v : idx) {
+        v = offset + static_cast<index_t>(rng.uniform_index(
+                         static_cast<std::uint64_t>(span)));
+      }
+      std::vector<index_t> want = idx;
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      const auto m = build_unique_index_map(idx);
+      ASSERT_EQ(m.unique, want) << "span " << span;
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        ASSERT_EQ(m.occurrence[i],
+                  std::lower_bound(want.begin(), want.end(), idx[i]) -
+                      want.begin());
+      }
+    }
+  }
 }
 
 TEST(UniqueIndexMap, EmptyInput) {
