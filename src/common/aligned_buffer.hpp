@@ -17,6 +17,17 @@ namespace elrec {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
 
+namespace detail {
+inline thread_local std::size_t aligned_allocations = 0;
+}  // namespace detail
+
+/// Storage allocations AlignedBuffer has made on the calling thread; a test
+/// reads it around a steady-state step to check that the step allocates
+/// nothing.
+inline std::size_t aligned_allocations_on_this_thread() {
+  return detail::aligned_allocations;
+}
+
 /// Owning, 64-byte-aligned array of trivially copyable T.
 template <typename T>
 class AlignedBuffer {
@@ -31,7 +42,7 @@ class AlignedBuffer {
 
   AlignedBuffer& operator=(const AlignedBuffer& other) {
     if (this == &other) return *this;
-    resize(other.size_);
+    resize_for_overwrite(other.size_);
     if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(T));
     return *this;
   }
@@ -43,23 +54,36 @@ class AlignedBuffer {
     release();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
     return *this;
   }
 
   ~AlignedBuffer() { release(); }
 
-  /// Reallocates to exactly n elements; contents are NOT preserved and are
-  /// zero-initialised.
+  /// Resizes to n zero-initialised elements; contents are NOT preserved.
+  /// Storage is kept when n fits in it, so a buffer resized to the same
+  /// size every step allocates only once.
   void resize(std::size_t n) {
+    resize_for_overwrite(n);
+    if (n > 0) std::memset(data_, 0, n * sizeof(T));
+  }
+
+  /// As resize(), but the contents are unspecified: only for callers that
+  /// overwrite every element before reading any.
+  void resize_for_overwrite(std::size_t n) {
+    if (n <= capacity_) {
+      size_ = n;
+      return;
+    }
     release();
-    if (n == 0) return;
     const std::size_t bytes =
         (n * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
         kCacheLineBytes;
     data_ = static_cast<T*>(std::aligned_alloc(kCacheLineBytes, bytes));
     if (data_ == nullptr) throw std::bad_alloc{};
+    ++detail::aligned_allocations;
     size_ = n;
-    std::memset(data_, 0, bytes);
+    capacity_ = n;
   }
 
   void fill(T value) {
@@ -90,10 +114,12 @@ class AlignedBuffer {
     std::free(data_);
     data_ = nullptr;
     size_ = 0;
+    capacity_ = 0;
   }
 
   T* data_ = nullptr;
   std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
 };
 
 }  // namespace elrec

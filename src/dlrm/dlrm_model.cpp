@@ -65,7 +65,6 @@ void DlrmModel::forward(const MiniBatch& batch, Matrix& logits) {
 
   interaction_.forward(features, interact_out_);
   top_mlp_.forward(interact_out_, logits);
-  logits_ = logits;
 }
 
 void DlrmModel::predict(const MiniBatch& batch, std::vector<float>& probs) {
@@ -127,29 +126,23 @@ void DlrmModel::predict_frozen(const MiniBatch& batch,
 }
 
 float DlrmModel::train_step(const MiniBatch& batch, float lr) {
-  Matrix logits;
   float loss;
   {
     TRACE_SPAN("dlrm.forward");
-    forward(batch, logits);
-    loss = bce_with_logits_loss(logits, batch.labels);
+    forward(batch, logits_);
+    loss = bce_with_logits_loss(logits_, batch.labels);
   }
 
   TRACE_SPAN("dlrm.backward");
-  Matrix grad_logits;
-  bce_with_logits_backward(logits, batch.labels, grad_logits);
-
-  Matrix grad_interact;
-  top_mlp_.backward_and_update(grad_logits, grad_interact, lr);
-
-  std::vector<Matrix> feature_grads;
-  interaction_.backward(grad_interact, feature_grads);
-
-  Matrix grad_dense;  // gradient to raw dense inputs, unused
-  bottom_mlp_.backward_and_update(feature_grads[0], grad_dense, lr);
+  bce_with_logits_backward(logits_, batch.labels, grad_logits_);
+  top_mlp_.backward_and_update(grad_logits_, grad_interact_, lr);
+  interaction_.backward(grad_interact_, feature_grads_);
+  // The gradient to the raw dense inputs has no consumer: skip it.
+  bottom_mlp_.backward_and_update(feature_grads_[0], lr);
 
   for (std::size_t t = 0; t < tables_.size(); ++t) {
-    tables_[t]->backward_and_update(batch.sparse[t], feature_grads[t + 1], lr);
+    tables_[t]->backward_and_update(batch.sparse[t], feature_grads_[t + 1],
+                                    lr);
   }
   return loss;
 }

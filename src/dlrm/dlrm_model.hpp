@@ -102,7 +102,12 @@ class DlrmModel {
   Matrix bottom_out_;
   std::vector<Matrix> emb_out_;
   Matrix interact_out_;
+  // train_step()'s logits and gradients, kept so a steady-state step
+  // reuses their storage.
   Matrix logits_;
+  Matrix grad_logits_;
+  Matrix grad_interact_;
+  std::vector<Matrix> feature_grads_;
 };
 
 /// Convenience: builds the {in, hidden..., out} size vector for Mlp.

@@ -66,11 +66,11 @@ void FeatureInteraction::backward(const Matrix& grad_out,
               "grad_out shape mismatch");
   const index_t b = cached_batch_;
   grads.resize(static_cast<std::size_t>(num_features_));
-  for (auto& g : grads) {
-    g.resize(b, dim_);
-    g.set_zero();
-  }
+  for (auto& g : grads) g.resize(b, dim_);  // zero-filled
 
+  // A sample writes only its own row of each gradient, in a fixed order, so
+  // the result is the same at any thread count.
+#pragma omp parallel for schedule(static) if (b >= 256)
   for (index_t s = 0; s < b; ++s) {
     const float* gout = grad_out.row(s);
     // Dense passthrough gradient.

@@ -43,6 +43,11 @@ class Mlp {
   /// grad_in resized to (B x input_dim). Parameters are updated with SGD(lr).
   void backward_and_update(const Matrix& grad_out, Matrix& grad_in, float lr);
 
+  /// As above, for a caller that does not need the gradient to the input
+  /// (the bottom MLP, whose input is the raw dense features): the first
+  /// layer's input gradient is never computed. Same parameter updates.
+  void backward_and_update(const Matrix& grad_out, float lr);
+
   std::size_t parameter_count() const;
 
   /// Visits every weight matrix and bias vector (deterministic order).
@@ -59,18 +64,36 @@ class Mlp {
   }
 
  private:
+  // z = x * W_l + b_l, through the ReLU for hidden layers. The one forward
+  // arithmetic of forward() and forward_frozen().
+  void forward_layer(int l, const Matrix& x, Matrix& z) const;
+  void backward(const Matrix& grad_out, Matrix* grad_in, float lr);
+  void update_weights(int l, const Matrix& x, const Matrix& grad, float lr);
+  // Updates layer l's bias from its output gradient. For a hidden layer
+  // (kRelu) the gradient is first masked in place by the ReLU of the
+  // layer's cached activations: relu_backward fused with the bias sum.
+  template <bool kRelu, typename Grad>
+  void update_bias(int l, Grad& grad, float lr);
+
   std::vector<index_t> layer_sizes_;
   std::vector<Matrix> weights_;             // layer l: (in_l x out_l)
   std::vector<std::vector<float>> biases_;  // layer l: out_l
   std::vector<OptimizerState> weight_opt_;
   std::vector<OptimizerState> bias_opt_;
-  Matrix grad_w_scratch_;
-  std::vector<float> grad_b_scratch_;
-  // Caches: inputs_[l] is the input to layer l; preacts_[l] its pre-ReLU
-  // output (hidden layers only).
-  std::vector<Matrix> inputs_;
+  // Caches of the last forward: input_ is a copy of the MLP input (the
+  // input of layer 0); preacts_[l] is hidden layer l's activated output,
+  // which is also layer l+1's input. relu_backward's >0 mask is the same
+  // on pre- and post-activation values, so one buffer serves both.
+  Matrix input_;
   std::vector<Matrix> preacts_;
   index_t cached_batch_ = 0;
+  // Backward scratch, kept across steps: W_l^T packed for the dX product,
+  // two ping-pong hidden gradients, and the stateful optimizers' explicit
+  // gradients.
+  Matrix wt_;
+  Matrix grad_bufs_[2];
+  Matrix grad_w_scratch_;
+  std::vector<float> grad_b_scratch_;
 };
 
 }  // namespace elrec

@@ -18,6 +18,18 @@ constexpr index_t kBlockK = 256;
 constexpr index_t kMR = 4;
 constexpr index_t kNR = 16;
 
+// C tiles of the blocked TN path, and the m*n*k above which its tiles run
+// in parallel. A tile of 2x2 micro-tiles gives even a 13x64 weight gradient
+// four tiles to share out.
+constexpr index_t kTileM = 2 * kMR;
+constexpr index_t kTileN = 2 * kNR;
+constexpr index_t kParallelTnWork = index_t{1} << 18;
+
+// Rows from which a block pads its ragged column panel
+// (gemm_nn_ragged_panel): below this the copy costs more than the edge
+// kernel loses.
+constexpr index_t kPadEdgeRows = 4 * kMR;
+
 #define ELREC_RESTRICT __restrict__
 
 // ---------------------------------------------------------------------------
@@ -94,26 +106,87 @@ inline void gemm_nn_tiny_n(index_t m, index_t n, index_t k, float alpha,
   }
 }
 
+// A single output column (the MLP's logit layer): kN1Rows rows run their
+// k sums side by side, so the independent chains fill the FMA pipes instead
+// of one row's chain stalling on its latency. Each row still sums over k in
+// order, as gemm_nn_tiny_n does.
+constexpr index_t kN1Rows = 16;
+
+inline void gemm_nn_n1(index_t m, index_t k, float alpha,
+                       const float* ELREC_RESTRICT a, index_t lda,
+                       const float* ELREC_RESTRICT b, index_t ldb,
+                       float* ELREC_RESTRICT c, index_t ldc) {
+  index_t i = 0;
+  for (; i + kN1Rows <= m; i += kN1Rows) {
+    const float* ELREC_RESTRICT ablk = a + i * lda;
+    float acc[kN1Rows] = {};
+    for (index_t kk = 0; kk < k; ++kk) {
+      const float bk = b[kk * ldb];
+      for (index_t r = 0; r < kN1Rows; ++r) acc[r] += ablk[r * lda + kk] * bk;
+    }
+    for (index_t r = 0; r < kN1Rows; ++r) c[(i + r) * ldc] += alpha * acc[r];
+  }
+  if (i < m) gemm_nn_tiny_n(m - i, 1, k, alpha, a + i * lda, lda, b, ldb,
+                            c + i * ldc, ldc);
+}
+
+// The ragged last column panel (nr < kNR lanes) of m rows, m a multiple of
+// kMR: the full 4x16 kernel runs against a zero-padded copy of B's panel,
+// into a C tile padded the same way. The padding lanes are discarded, and
+// the live lanes see the same k-ordered FMAs as in kernel_nn_edge.
+void gemm_nn_ragged_panel(index_t m, index_t nr, index_t k, float alpha,
+                          const float* a, index_t lda, const float* b,
+                          index_t ldb, float* c, index_t ldc) {
+  ELREC_DCHECK(k <= kBlockK);
+  alignas(kCacheLineBytes) float bpanel[kBlockK * kNR];
+  for (index_t kk = 0; kk < k; ++kk) {
+    float* dst = bpanel + kk * kNR;
+    std::copy(b + kk * ldb, b + kk * ldb + nr, dst);
+    std::fill(dst + nr, dst + kNR, 0.0f);
+  }
+  for (index_t i = 0; i < m; i += kMR) {
+    float* crow = c + i * ldc;
+    alignas(kCacheLineBytes) float ctile[kMR * kNR] = {};
+    for (index_t r = 0; r < kMR; ++r) {
+      std::copy(crow + r * ldc, crow + r * ldc + nr, ctile + r * kNR);
+    }
+    kernel_nn_4x16(k, alpha, a + i * lda, lda, bpanel, kNR, ctile, kNR);
+    for (index_t r = 0; r < kMR; ++r) {
+      std::copy(ctile + r * kNR, ctile + r * kNR + nr, crow + r * ldc);
+    }
+  }
+}
+
 // One cache block of the NN path, tiled into register micro-kernels.
 void gemm_nn_block(index_t m, index_t n, index_t k, float alpha,
                    const float* a, index_t lda, const float* b, index_t ldb,
                    float* c, index_t ldc) {
+  if (n == 1) {
+    gemm_nn_n1(m, k, alpha, a, lda, b, ldb, c, ldc);
+    return;
+  }
   if (n <= 4) {
     gemm_nn_tiny_n(m, n, k, alpha, a, lda, b, ldb, c, ldc);
     return;
   }
+  const index_t n_full = n / kNR * kNR;
+  const index_t nr = n - n_full;
+  const bool pad_edge = nr > 0 && m >= kPadEdgeRows;
   index_t i = 0;
   for (; i + kMR <= m; i += kMR) {
     const float* arow = a + i * lda;
     float* crow = c + i * ldc;
-    index_t j = 0;
-    for (; j + kNR <= n; j += kNR) {
+    for (index_t j = 0; j < n_full; j += kNR) {
       kernel_nn_4x16(k, alpha, arow, lda, b + j, ldb, crow + j, ldc);
     }
-    if (j < n) {
-      kernel_nn_edge(kMR, n - j, k, alpha, arow, lda, b + j, ldb, crow + j,
-                     ldc);
+    if (nr > 0 && !pad_edge) {
+      kernel_nn_edge(kMR, nr, k, alpha, arow, lda, b + n_full, ldb,
+                     crow + n_full, ldc);
     }
+  }
+  if (pad_edge) {
+    gemm_nn_ragged_panel(i, nr, k, alpha, a, lda, b + n_full, ldb, c + n_full,
+                         ldc);
   }
   if (i < m) {
     for (index_t j = 0; j < n; j += kNR) {
@@ -178,9 +251,34 @@ inline void kernel_tn_edge(index_t mr, index_t nr, index_t kb, float alpha,
   }
 }
 
+// A single output column (the logit layer's dW): A's row kk holds the m
+// inputs contiguously, so the m sums vectorize across i while each still
+// adds its k terms in order.
+inline void gemm_tn_n1(index_t m, index_t k, float alpha,
+                       const float* ELREC_RESTRICT a, index_t lda,
+                       const float* ELREC_RESTRICT b, index_t ldb,
+                       float* ELREC_RESTRICT c, index_t ldc) {
+  float acc[kBlockM];
+  for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
+    const index_t mb = std::min(kBlockM, m - i0);
+    std::fill(acc, acc + mb, 0.0f);
+    for (index_t kk = 0; kk < k; ++kk) {
+      const float bk = b[kk * ldb];
+      const float* ELREC_RESTRICT arow = a + kk * lda + i0;
+#pragma omp simd
+      for (index_t i = 0; i < mb; ++i) acc[i] += arow[i] * bk;
+    }
+    for (index_t i = 0; i < mb; ++i) c[(i0 + i) * ldc] += alpha * acc[i];
+  }
+}
+
 void gemm_tn_block(index_t m, index_t n, index_t k, float alpha,
                    const float* a, index_t lda, const float* b, index_t ldb,
                    float* c, index_t ldc) {
+  if (n == 1) {
+    gemm_tn_n1(m, k, alpha, a, lda, b, ldb, c, ldc);
+    return;
+  }
   index_t i = 0;
   for (; i + kMR <= m; i += kMR) {
     float* crow = c + i * ldc;
@@ -298,18 +396,27 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
       gemm_tn_block(m, n, k, alpha, a, lda, b, ldb, c, ldc);
       return;
     }
-    // k is the large dimension here (activation gradients: k == batch), so
-    // block it for cache reuse of the C tile accumulators.
-#pragma omp parallel for schedule(static) if (m >= 2 * kBlockM)
-    for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
-      const index_t mb = std::min(kBlockM, m - i0);
-      for (index_t k0 = 0; k0 < k; k0 += kBlockK) {
-        const index_t kb = std::min(kBlockK, k - k0);
-        for (index_t j0 = 0; j0 < n; j0 += kBlockN) {
-          const index_t nb = std::min(kBlockN, n - j0);
-          gemm_tn_block(mb, nb, kb, alpha, a + k0 * lda + i0, lda,
-                        b + k0 * ldb + j0, ldb, c + i0 * ldc + j0, ldc);
-        }
+    // k is the large dimension here (weight gradients: k == batch), so C is
+    // small and is split into fixed tiles that threads share out. The k
+    // blocks run outermost, so one k block of A and B is read from memory
+    // once and then reused from cache by every tile. The static schedule
+    // hands a tile to the same thread in every k block (same trip count,
+    // same schedule), so each C element sees its k blocks in order, each
+    // summed in order, whatever the tiling and the thread count. A single
+    // column (n == 1) takes taller tiles.
+    const index_t tile_m = n == 1 ? kBlockM : kTileM;
+    const index_t tiles_n = (n + kTileN - 1) / kTileN;
+    const index_t tiles = (m + tile_m - 1) / tile_m * tiles_n;
+#pragma omp parallel if (m * n * k >= kParallelTnWork)
+    for (index_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const index_t kb = std::min(kBlockK, k - k0);
+#pragma omp for schedule(static) nowait
+      for (index_t t = 0; t < tiles; ++t) {
+        const index_t i0 = t / tiles_n * tile_m;
+        const index_t j0 = t % tiles_n * kTileN;
+        gemm_tn_block(std::min(tile_m, m - i0), std::min(kTileN, n - j0), kb,
+                      alpha, a + k0 * lda + i0, lda, b + k0 * ldb + j0, ldb,
+                      c + i0 * ldc + j0, ldc);
       }
     }
     return;
@@ -342,7 +449,7 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c, Trans trans_a,
   const index_t kb = trans_b == Trans::kNo ? b.rows() : b.cols();
   const index_t n = trans_b == Trans::kNo ? b.cols() : b.rows();
   ELREC_CHECK(ka == kb, "inner dimensions do not match in matmul");
-  c.resize(m, n);
+  c.resize_for_overwrite(m, n);
   gemm(trans_a, trans_b, m, n, ka, 1.0f, a.data(), a.cols(), b.data(),
        b.cols(), 0.0f, c.data(), c.cols());
 }

@@ -26,6 +26,14 @@ void Matrix::resize(index_t rows, index_t cols) {
   buf_.resize(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
 }
 
+void Matrix::resize_for_overwrite(index_t rows, index_t cols) {
+  ELREC_CHECK(rows >= 0 && cols >= 0, "negative matrix shape");
+  rows_ = rows;
+  cols_ = cols;
+  buf_.resize_for_overwrite(static_cast<std::size_t>(rows) *
+                            static_cast<std::size_t>(cols));
+}
+
 void Matrix::fill_normal(Prng& rng, float mean, float stddev) {
   for (index_t i = 0; i < size(); ++i) {
     buf_[static_cast<std::size_t>(i)] =

@@ -27,8 +27,13 @@ class Matrix {
   /// tests. All rows must have the same length.
   Matrix(std::initializer_list<std::initializer_list<float>> rows);
 
-  /// Reallocates to rows x cols, zero-filled. Contents are not preserved.
+  /// Resizes to rows x cols, zero-filled. Contents are not preserved; the
+  /// storage is kept when the new size fits in it.
   void resize(index_t rows, index_t cols);
+
+  /// As resize(), but the contents are unspecified: only for callers that
+  /// overwrite every element (a GEMM with beta = 0).
+  void resize_for_overwrite(index_t rows, index_t cols);
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <tuple>
 
@@ -347,6 +348,35 @@ TEST(VectorOps, SigmoidStableAtExtremes) {
   EXPECT_NEAR(sigmoid(100.0f), 1.0f, 1e-6f);
   EXPECT_NEAR(sigmoid(-100.0f), 0.0f, 1e-6f);
   EXPECT_GT(sigmoid(-100.0f), 0.0f);  // no NaN / underflow to exactly 0 is ok
+}
+
+// fill_normal's values and the Prng's state afterwards are bitwise those of
+// one rng.normal(mean, stddev) call per element, for even and odd sizes,
+// with and without a cached normal at entry: the contract any faster fill
+// must keep.
+TEST(Matrix, FillNormalMatchesSerialDraws) {
+  for (index_t n : {index_t{0}, index_t{1}, index_t{2}, index_t{7},
+                    index_t{65536}, index_t{131075}}) {
+    for (bool cached_at_entry : {false, true}) {
+      Prng want_rng(99);
+      Prng got_rng(99);
+      if (cached_at_entry) {
+        want_rng.normal();
+        got_rng.normal();
+      }
+      std::vector<float> want(static_cast<std::size_t>(n));
+      for (float& v : want) v = static_cast<float>(want_rng.normal(0.5, 2.0));
+      Matrix got(1, n);
+      got.fill_normal(got_rng, 0.5f, 2.0f);
+      SCOPED_TRACE(testing::Message() << "n=" << n
+                                      << " cached=" << cached_at_entry);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+                0);
+      // The next draws — a cached sine after an odd fill — match too.
+      EXPECT_EQ(got_rng.normal(), want_rng.normal());
+      EXPECT_EQ(got_rng.next(), want_rng.next());
+    }
+  }
 }
 
 }  // namespace
